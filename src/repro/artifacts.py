@@ -15,14 +15,28 @@ Two backends:
   resolves to one shared process-global instance so separate Sessions
   in one interpreter share artifacts.
 - :class:`DiskArtifactStore` — an on-disk object store under
-  ``root/objects/<digest[:2]>/<digest>/``.  Array payloads live in
-  ``arrays.npz``; directory payloads (out-of-core shard collections)
-  live in the object directory itself.  Producers build every object in
-  a private staging directory under ``root/tmp/`` and the commit is one
-  atomic directory rename, so concurrent workers missing the same key
-  (the cold-start stampede) each build privately and the duplicate
-  commit is a benign no-op — a half-written object can never be read as
-  a hit because it is never visible under ``objects/`` at all.
+  ``root/objects/<digest[:2]>/<digest>/``.  Array payloads live in one
+  raw ``payload.bin`` per object: each array streamed at a 64-byte
+  aligned offset, its name, dtype, shape and offset recorded in the
+  ``meta.json`` commit marker.  Directory payloads (out-of-core shard
+  collections) live in the object directory itself.  Producers build
+  every object in a private staging directory under ``root/tmp/`` and
+  the commit is one atomic directory rename, so concurrent workers
+  missing the same key (the cold-start stampede) each build privately
+  and the duplicate commit is a benign no-op — a half-written object
+  can never be read as a hit because it is never visible under
+  ``objects/`` at all.
+
+A disk hit maps ``payload.bin`` once, copy-on-write, and serves
+zero-copy views into the mapping: one ``open`` plus one ``mmap``, and a
+page is read only when a caller touches it.  The views are writable,
+but a write lands in a private copy of the page — never in the file,
+never in another reader's view.  Untouched pages cost no RSS; touched,
+unwritten pages are clean page-cache pages the kernel can drop and
+re-read at will.  There is no checksum: a payload whose size or layout
+disagrees with its marker (torn, truncated, missing), or an object
+written under an older ``_FORMAT``, is quarantined — renamed aside and
+deleted — and counted as a miss, so the next producer's commit lands.
 
 The store keeps persistent hit/miss/put counters; each process writes
 its own delta file under ``root/stats.d/`` (atomically, no shared
@@ -35,6 +49,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import mmap
 import os
 import random
 import shutil
@@ -61,12 +77,44 @@ __all__ = [
 ]
 
 _META = "meta.json"
-_ARRAYS = "arrays.npz"
+_PAYLOAD = "payload.bin"
 _STATS = "stats.json"
 _STATS_DIR = "stats.d"
 _STAGING_DIR = "tmp"
-_FORMAT = 1
+#: Version of the key scheme, the ``v1:`` prefix of every key token.
+_KEY_SCHEME = 1
+#: Version of the on-disk object layout, recorded in ``meta.json``.
+#: 1 was ``arrays.npz``; 2 is ``payload.bin`` plus a layout in the
+#: marker.  An object under any other version is quarantined on read.
+_FORMAT = 2
+#: Alignment of every array inside ``payload.bin`` (a cache line, and
+#: a multiple of every dtype's itemsize).
+_ALIGN = 64
 _STAT_FIELDS = ("hits", "misses", "puts")
+
+
+def _piece_digest(pg) -> bytes:
+    """sha256 of one piece graph's out-CSR, memoised on the object.
+
+    A projected :class:`~repro.diffusion.projection.PieceGraph` is
+    never mutated after construction, so its digest is computed once
+    and kept on the instance; duck-typed piece graphs without the slot
+    are simply re-hashed.
+    """
+    cached = getattr(pg, "_digest", None)
+    if cached is not None:
+        return cached
+    h = hashlib.sha256()
+    h.update(f"n={pg.n}:".encode())
+    h.update(pg.out_ptr.tobytes())
+    h.update(pg.out_dst.tobytes())
+    h.update(pg.out_prob.tobytes())
+    cached = h.digest()
+    try:
+        pg._digest = cached
+    except AttributeError:
+        pass
+    return cached
 
 
 def piece_graphs_digest(piece_graphs: Sequence) -> str:
@@ -75,16 +123,95 @@ def piece_graphs_digest(piece_graphs: Sequence) -> str:
     Sampling consumes the *projected* piece graphs, not the topic graph
     directly — LT pieces are weight-normalised, and callers may pass
     custom projections — so sample keys hash the actual structures that
-    the samplers walk.
+    the samplers walk.  Each piece's arrays are hashed at most once per
+    piece-graph object (see :func:`_piece_digest`).
     """
     h = hashlib.sha256()
-    h.update(f"pieces:v1:l={len(piece_graphs)}:".encode())
+    h.update(f"pieces:v2:l={len(piece_graphs)}:".encode())
     for pg in piece_graphs:
-        h.update(f"n={pg.n}:".encode())
-        h.update(pg.out_ptr.tobytes())
-        h.update(pg.out_dst.tobytes())
-        h.update(pg.out_prob.tobytes())
+        h.update(_piece_digest(pg))
     return h.hexdigest()
+
+
+def _write_payload(path: str, arrays: Mapping[str, np.ndarray]) -> dict:
+    """Stream ``arrays`` into one raw file; return its layout record.
+
+    Each array is written in place with ``ndarray.tofile`` (no
+    serialised copy, so writing a collection never doubles its RAM) at
+    the next ``_ALIGN``-byte offset.
+    """
+    entries = []
+    end = 0
+    with open(path, "wb") as fh:
+        for name, value in arrays.items():
+            arr = np.asarray(value)
+            if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
+                raise StoreError(
+                    f"artifact array {name!r} has dtype {arr.dtype}, which "
+                    "has no raw byte layout"
+                )
+            offset = -(-end // _ALIGN) * _ALIGN
+            if arr.nbytes:
+                fh.write(bytes(offset - end))
+                arr.tofile(fh)
+                end = offset + arr.nbytes
+            entries.append(
+                {
+                    "name": name,
+                    "dtype": arr.dtype.str,
+                    "shape": list(arr.shape),
+                    "offset": offset,
+                }
+            )
+    return {"size": end, "arrays": entries}
+
+
+def _identity(st: os.stat_result) -> tuple[int, int]:
+    """Which file a ``stat`` saw: each commit writes a new ``meta.json``."""
+    return st.st_ino, st.st_mtime_ns
+
+
+def _map_payload(path: str, layout) -> dict[str, np.ndarray] | None:
+    """Copy-on-write views of a ``payload.bin``; ``None`` if it is torn.
+
+    Torn means anything the layout record does not vouch for: a
+    missing file, a size other than the recorded one, an entry whose
+    bytes would run past the end, or a malformed record.
+    """
+    try:
+        size = int(layout["size"])
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != size:
+                return None
+            # Copy-on-write: writes through a view land in private
+            # pages, never in the file.  An empty file cannot be
+            # mapped (all its arrays are empty, and need no buffer).
+            buf = (
+                mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+                if size
+                else None
+            )
+        arrays: dict[str, np.ndarray] = {}
+        for entry in layout["arrays"]:
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(d) for d in entry["shape"])
+            offset = int(entry["offset"])
+            count = math.prod(shape)
+            if (
+                dtype.hasobject
+                or offset < 0
+                or min(shape, default=0) < 0
+                or (count and offset + count * dtype.itemsize > size)
+            ):
+                return None
+            if count:
+                arr = np.frombuffer(buf, dtype, count, offset).reshape(shape)
+            else:
+                arr = np.empty(shape, dtype)
+            arrays[str(entry["name"])] = arr
+        return arrays
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -105,7 +232,7 @@ class ArtifactKey:
     def token(self) -> str:
         """Human-readable key string (also what gets hashed)."""
         parts = [
-            f"v{_FORMAT}",
+            f"v{_KEY_SCHEME}",
             f"graph={self.graph}",
             f"campaign={self.campaign}",
             f"runtime={self.runtime}",
@@ -317,13 +444,15 @@ class DiskArtifactStore(ArtifactStore):
           stats.d/           # one delta file per writer process
           tmp/               # private staging dirs, renamed into place
           objects/<digest[:2]>/<digest>/
-            meta.json        # records the full key token
-            arrays.npz       # array payloads (absent for directory payloads)
+            meta.json        # key token, _FORMAT, payload layout
+            payload.bin      # raw arrays (absent when there are none)
             ...              # directory payloads write siblings here
 
     ``meta.json`` records the full key token, so a digest collision or
     a stale directory from an older key scheme is detected and treated
-    as a miss rather than served.
+    as a miss rather than served.  It also records the object format
+    and the layout of ``payload.bin``; an object that fails either
+    check is quarantined (see :meth:`get`).
 
     Multi-process contract: any number of processes may share one root.
     Objects become visible only through an atomic directory rename out
@@ -416,25 +545,64 @@ class DiskArtifactStore(ArtifactStore):
     # -- read -----------------------------------------------------------
 
     def get(self, key: ArtifactKey) -> Artifact | None:
+        """The committed object for ``key``, or ``None`` (a miss).
+
+        Arrays come back as copy-on-write views of one mapping of
+        ``payload.bin`` (see the module docstring).  An object whose
+        token matches but whose format is old or whose payload is torn
+        can never become a hit, and :meth:`commit` would keep it as a
+        benign duplicate, so it is quarantined here before the miss.
+        """
         obj_dir = self._object_dir(key)
         meta_path = os.path.join(obj_dir, _META)
         try:
             with open(meta_path) as fh:
+                marker = _identity(os.fstat(fh.fileno()))
                 meta = json.load(fh)
         except (OSError, ValueError):
             self._bump("misses")
             return None
-        if meta.get("token") != key.token:
+        if not isinstance(meta, dict) or meta.get("token") != key.token:
             # digest prefix collision or stale key scheme — not ours
             self._bump("misses")
             return None
-        arrays: dict[str, np.ndarray] = {}
-        arrays_path = os.path.join(obj_dir, _ARRAYS)
-        if os.path.exists(arrays_path):
-            with np.load(arrays_path) as payload:
-                arrays = {name: payload[name] for name in payload.files}
+        arrays: dict[str, np.ndarray] | None = {}
+        if meta.get("object_format") != _FORMAT:
+            arrays = None
+        elif "payload" in meta:
+            arrays = _map_payload(os.path.join(obj_dir, _PAYLOAD), meta["payload"])
+        if arrays is None:
+            self._quarantine(obj_dir, marker)
+            self._bump("misses")
+            return None
         self._bump("hits")
         return Artifact(key=key, meta=meta, arrays=arrays, path=obj_dir)
+
+    def _quarantine(self, obj_dir: str, marker: tuple[int, int]) -> None:
+        """Rename a bad object aside and delete it.
+
+        ``marker`` identifies the ``meta.json`` that was judged bad.  If
+        a fresh commit replaced the object between that read and the
+        rename, the fresh object is renamed back, so one reader's
+        verdict does not evict another producer's good work.
+        """
+        aside = self._new_staging_dir()
+        moved = os.path.join(aside, "object")
+        try:
+            os.rename(obj_dir, moved)
+        except OSError:
+            pass  # already gone: another reader quarantined it
+        else:
+            try:
+                replaced = _identity(os.stat(os.path.join(moved, _META))) != marker
+            except OSError:
+                replaced = False
+            if replaced:
+                try:
+                    os.rename(moved, obj_dir)
+                except OSError:
+                    pass  # yet another commit landed; it stands
+        shutil.rmtree(aside, ignore_errors=True)
 
     # -- write ----------------------------------------------------------
 
@@ -443,9 +611,10 @@ class DiskArtifactStore(ArtifactStore):
         if staging is None:
             staging = self.stage_dir(key)
         if arrays:
-            arrays = {k: np.asarray(v) for k, v in dict(arrays).items()}
-            with open(os.path.join(staging, _ARRAYS), "wb") as fh:
-                np.savez(fh, **arrays)
+            meta = dict(meta)
+            meta["payload"] = _write_payload(
+                os.path.join(staging, _PAYLOAD), arrays
+            )
         return self.commit(key, meta)
 
     def stage_dir(self, key: ArtifactKey) -> str:
@@ -498,6 +667,7 @@ class DiskArtifactStore(ArtifactStore):
             staging = self._new_staging_dir()
         full_meta = dict(meta)
         full_meta["token"] = key.token
+        full_meta["object_format"] = _FORMAT
         with open(os.path.join(staging, _META), "w") as fh:
             json.dump(full_meta, fh)
         obj_dir = self._object_dir(key)

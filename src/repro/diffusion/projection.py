@@ -31,6 +31,11 @@ class PieceGraph:
     in_ptr, in_src, in_prob:
         Reverse adjacency; ``in_prob[k]`` is the probability of the edge
         *ending* at the indexed vertex (used by reverse BFS sampling).
+
+    The arrays are treated as immutable once the object is built: the
+    artifact cache memoises a digest of the out-CSR on the instance
+    (:func:`repro.artifacts.piece_graphs_digest`), so edit a copy, never
+    the arrays of a live piece graph.
     """
 
     __slots__ = (
@@ -41,6 +46,7 @@ class PieceGraph:
         "in_ptr",
         "in_src",
         "in_prob",
+        "_digest",
     )
 
     def __init__(
@@ -60,6 +66,7 @@ class PieceGraph:
         self.in_ptr = in_ptr
         self.in_src = in_src
         self.in_prob = in_prob
+        self._digest: bytes | None = None
 
     @classmethod
     def project(cls, graph: TopicGraph, piece: "Piece | np.ndarray") -> "PieceGraph":

@@ -532,6 +532,10 @@ class MRRCollection:
             else:
                 collection = cls.from_store(shard)
             return collection, [("sample", "hit"), ("index", "hit")], key
+        # A disk hit's arrays are copy-on-write views of the artifact's
+        # mapped payload: wrap them as they are (np.asarray with the
+        # stored dtype is a view), so only the pages a caller touches
+        # are ever read.
         arrays = hit.arrays
         roots = np.asarray(arrays["roots"], dtype=np.int64)
         if store_obj is not None:

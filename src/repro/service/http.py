@@ -61,6 +61,10 @@ class InfluenceServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms per
+    # response on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002
         pass  # quiet by default: a poll loop would spam stderr

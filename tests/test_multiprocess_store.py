@@ -119,7 +119,7 @@ def test_hammer_no_lost_stats_and_no_torn_objects(shared_root):
         for digest in sorted(os.listdir(os.path.join(objects_root, shard))):
             obj_dir = os.path.join(objects_root, shard, digest)
             assert os.path.exists(os.path.join(obj_dir, "meta.json"))
-            assert os.path.exists(os.path.join(obj_dir, "arrays.npz"))
+            assert os.path.exists(os.path.join(obj_dir, "payload.bin"))
             seen += 1
     assert seen == WORKERS * ROUNDS + ROUNDS  # own keys + shared keys
     for r in range(ROUNDS):

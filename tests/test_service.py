@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -335,6 +338,30 @@ def test_http_rejects_non_json_body(service):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=30)
     assert err.value.code == 400
+
+
+def test_http_keep_alive_responses_do_not_stall(service):
+    """Sequential requests on one kept-alive connection answer promptly.
+
+    Each response goes out as a header write and a body write; with
+    Nagle's algorithm on, the body waits for the client's delayed ACK
+    (about 40 ms).  A plain client, without ``TCP_QUICKACK``, must see
+    well under that.
+    """
+    host, port = service.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        times = []
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            times.append(time.perf_counter() - start)
+            assert resp.status == 200 and body["status"] == "ok"
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.010, times
 
 
 def test_http_cancel_route(tmp_path):
