@@ -198,8 +198,7 @@ def _map_payload(path: str, layout) -> dict[str, np.ndarray] | None:
             offset = int(entry["offset"])
             count = math.prod(shape)
             if (
-                dtype.hasobject
-                or offset < 0
+                offset < 0
                 or min(shape, default=0) < 0
                 or (count and offset + count * dtype.itemsize > size)
             ):
